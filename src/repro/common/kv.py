@@ -20,42 +20,12 @@ class KeyValue(NamedTuple):
     value: Any
 
     def serialized_size(self) -> int:
-        """Best-effort size in bytes of the encoded record."""
+        """Size in bytes of the encoded record (see :func:`record_size`)."""
         return record_size(self.key, self.value)
 
 
-def _field_size(obj: Any) -> int:
-    if isinstance(obj, (bytes, bytearray)):
-        return len(obj)
-    if isinstance(obj, memoryview):
-        # The FMT_BATCH zero-copy path hands out read-only views over
-        # shared buffers; sizing them by repr() (the opaque-object
-        # fallback) under-counted every byte budget they passed through.
-        return obj.nbytes
-    if isinstance(obj, str):
-        return len(obj.encode("utf-8"))
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, int):
-        return 8
-    if isinstance(obj, float):
-        return 8
-    if obj is None:
-        return 0
-    if isinstance(obj, (list, tuple)):
-        return sum(_field_size(item) for item in obj) + 4
-    if isinstance(obj, dict):
-        return sum(_field_size(k) + _field_size(v) for k, v in obj.items()) + 4
-    # Fall back to the repr; good enough for cost accounting of rare types.
-    return len(repr(obj))
-
-
-def record_size(key: Any, value: Any) -> int:
-    """Size in bytes of one encoded record (4-byte length prefix per field)."""
-    return 8 + _field_size(key) + _field_size(value)
-
-
-_LEN = struct.Struct(">II")
+#: Length prefix of every encoded record: key field length, value field length.
+RECORD_HEADER = struct.Struct(">II")
 
 
 _ITEM_LEN = struct.Struct(">I")
@@ -64,7 +34,7 @@ _ITEM_LEN = struct.Struct(">I")
 def _encode_items(items: Iterable[Any]) -> bytes:
     out = bytearray()
     for item in items:
-        encoded = _encode_field(item)
+        encoded = encode_field(item)
         out += _ITEM_LEN.pack(len(encoded))
         out += encoded
     return bytes(out)
@@ -81,7 +51,14 @@ def _decode_items(payload: bytes | memoryview) -> list[Any]:
     return items
 
 
-def _encode_field(obj: Any) -> bytes:
+def encode_field(obj: Any) -> bytes:
+    """Encode one field (a key or a value) with its one-byte type tag."""
+    # Exact-type checks first: str and int keys are the common case, and
+    # subclasses (IntEnum members, str subclasses) still take the chain.
+    if type(obj) is str:
+        return b"S" + obj.encode()
+    if type(obj) is int:
+        return b"I%d" % obj
     if isinstance(obj, bytes):
         return b"B" + obj
     if isinstance(obj, str):
@@ -147,9 +124,36 @@ def _decode_field(data: bytes | memoryview) -> Any:
 
 def encode_record(key: Any, value: Any) -> bytes:
     """Encode one record to bytes (length-prefixed key and value fields)."""
-    key_bytes = _encode_field(key)
-    value_bytes = _encode_field(value)
-    return _LEN.pack(len(key_bytes), len(value_bytes)) + key_bytes + value_bytes
+    return join_record(encode_field(key), encode_field(value))
+
+
+def join_record(key_field: bytes, value_field: bytes) -> bytes:
+    """One record from fields :func:`encode_field` already produced: the
+    same bytes as ``encode_record(key, value)``, without encoding again."""
+    return RECORD_HEADER.pack(len(key_field), len(value_field)) + key_field + value_field
+
+
+def _field_length(obj: Any) -> int:
+    """Length of ``obj``'s encoded field, for :func:`record_size`."""
+    if isinstance(obj, (bytearray, memoryview)):
+        # Bytes-like views (the FMT_BATCH zero-copy path hands them out)
+        # are charged as the ``B``-tagged bytes they would encode to.
+        return 1 + memoryview(obj).nbytes
+    try:
+        return len(encode_field(obj))
+    except TypeError:
+        # Types the codec cannot encode (opaque A outputs pinned in a
+        # KVCache) are sized by their repr, so accounting never raises.
+        return len(repr(obj))
+
+
+def record_size(key: Any, value: Any) -> int:
+    """Size in bytes of one encoded record: ``len(encode_record(key, value))``.
+
+    The one size function: every engine's byte counters use it, so the
+    cross-engine byte ratios compare real encoded bytes.
+    """
+    return RECORD_HEADER.size + _field_length(key) + _field_length(value)
 
 
 def decode_record(data: bytes | memoryview,
@@ -160,8 +164,8 @@ def decode_record(data: bytes | memoryview,
     payloads are sliced without copying (the transport's zero-copy read
     path decodes records straight out of a shared batch buffer).
     """
-    key_len, value_len = _LEN.unpack_from(data, offset)
-    start = offset + _LEN.size
+    key_len, value_len = RECORD_HEADER.unpack_from(data, offset)
+    start = offset + RECORD_HEADER.size
     key = _decode_field(data[start:start + key_len])
     value = _decode_field(data[start + key_len:start + key_len + value_len])
     return KeyValue(key, value), start + key_len + value_len
@@ -171,9 +175,9 @@ def encode_stream(records: Iterable[tuple[Any, Any]]) -> bytes:
     """Encode an iterable of ``(key, value)`` pairs into one byte string."""
     out = bytearray()
     for key, value in records:
-        key_bytes = _encode_field(key)
-        value_bytes = _encode_field(value)
-        out += _LEN.pack(len(key_bytes), len(value_bytes))
+        key_bytes = encode_field(key)
+        value_bytes = encode_field(value)
+        out += RECORD_HEADER.pack(len(key_bytes), len(value_bytes))
         out += key_bytes
         out += value_bytes
     return bytes(out)

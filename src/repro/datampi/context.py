@@ -13,11 +13,16 @@ import itertools
 from typing import Any, Iterator
 
 from repro.common.errors import CommunicatorError
-from repro.common.kv import KeyValue
+from repro.common.kv import KeyValue, encode_field
 from repro.mpi import faultinject
 from repro.datampi.buffers import PartitionedSendBuffer
 from repro.datampi.communicator import TAG_DATA, BipartiteComm
-from repro.datampi.partition import Partitioner, hash_partitioner, validate_partition
+from repro.datampi.partition import (
+    Partitioner,
+    hash_key_field,
+    hash_partitioner,
+    validate_partition,
+)
 from repro.storage import ChunkStore, KVCache
 
 
@@ -36,7 +41,10 @@ class OContext:
         superstep: int | None = None,
     ):
         self._bcomm = bcomm
-        self._partitioner = partitioner or hash_partitioner
+        self._num_a = bcomm.num_a
+        #: None routes with ``hash_key_field`` on the key bytes ``send``
+        #: encodes anyway — the same destinations as ``hash_partitioner``.
+        self._partitioner = None if partitioner is hash_partitioner else partitioner
         self._closed = False
         #: Rank-lifetime KV cache (iteration/streaming modes); None in
         #: run-once jobs, whose ranks do not outlive a single superstep.
@@ -76,10 +84,14 @@ class OContext:
         """Emit one key-value pair toward its A task (pipelined)."""
         if self._closed:
             raise CommunicatorError("send after O context was closed")
-        destination = validate_partition(
-            self._partitioner(key, self._bcomm.num_a), self._bcomm.num_a
-        )
-        self._buffer.add(destination, key, value)
+        key_field = encode_field(key)
+        if self._partitioner is None:
+            destination = hash_key_field(key_field, self._num_a)
+        else:
+            destination = validate_partition(
+                self._partitioner(key, self._num_a), self._num_a
+            )
+        self._buffer.add(destination, key, value, key_field)
 
     def close(self) -> None:
         """Flush remaining buffers and signal EOF to every A task.

@@ -15,15 +15,36 @@ import zlib
 from typing import Any, Callable, Sequence
 
 from repro.common.errors import DataMPIError
-from repro.common.kv import encode_record
+from repro.common.kv import RECORD_HEADER, encode_field
 
 Partitioner = Callable[[Any, int], int]
 
 
+#: ``hash_partitioner`` hashes ``encode_record(key, None)``: the record
+#: header, the key field, then this encoded None.
+_NONE_FIELD = encode_field(None)
+
+#: CRC32 of that record header, by key field length (short keys).
+_HEADER_CRCS = [zlib.crc32(RECORD_HEADER.pack(length, len(_NONE_FIELD)))
+                for length in range(256)]
+
+
 def hash_partitioner(key: Any, num_partitions: int) -> int:
-    """Stable hash partitioning (the library default)."""
-    digest = zlib.crc32(encode_record(key, None))
-    return digest % num_partitions
+    """Stable hash partitioning (the library default): CRC32 of
+    ``encode_record(key, None)``."""
+    return hash_key_field(encode_field(key), num_partitions)
+
+
+def hash_key_field(key_field: bytes, num_partitions: int) -> int:
+    """:func:`hash_partitioner` for a key already encoded by
+    ``encode_field``: the same CRC32 over the same bytes, so a sender that
+    encodes each key once routes exactly as ``hash_partitioner`` does."""
+    length = len(key_field)
+    if length < len(_HEADER_CRCS):
+        header_crc = _HEADER_CRCS[length]
+    else:
+        header_crc = zlib.crc32(RECORD_HEADER.pack(length, len(_NONE_FIELD)))
+    return zlib.crc32(_NONE_FIELD, zlib.crc32(key_field, header_crc)) % num_partitions
 
 
 class RangePartitioner:

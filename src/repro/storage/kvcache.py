@@ -7,13 +7,15 @@ half of that design: each rank owns one :class:`KVCache`, the iterative
 driver pins O-side input splits and A-side outputs in it, and user tasks
 may stash their own cross-iteration state (``ctx.cache``).
 
-Sizes are accounted with :func:`repro.common.kv.record_size` — the same
-cost model the send buffers charge to the network — so a cache hit's
-``hit_bytes`` is directly comparable to the ``o.bytes_sent`` counter it
-saved.  ``record_size`` sizes ``memoryview``/``bytearray`` payloads by
-their byte length, so entries from the FMT_BATCH zero-copy path charge
-the budget exactly.  Eviction is LRU; an entry larger than the whole
-capacity is rejected rather than thrashing the cache empty.
+Sizes are accounted with :func:`repro.common.kv.record_size` — the
+codec's encoded length of a record, the bytes the send buffers put on
+the network — so a cache hit's ``hit_bytes`` is directly comparable to
+the ``o.bytes_sent`` counter it saved.  ``record_size`` sizes
+``memoryview``/``bytearray`` payloads as the encoded ``bytes`` they
+equal, so entries from the FMT_BATCH zero-copy path charge the budget
+exactly, and sizes values the codec cannot encode by their ``repr``.
+Eviction is LRU; an entry larger than the whole capacity is rejected
+rather than thrashing the cache empty.
 """
 
 from __future__ import annotations
